@@ -21,7 +21,7 @@ package coopcache
 //
 //   - Direct (the default): document words interleave across the shards
 //     (doc % shards), fixed for the run.
-//   - Bucketed (DirConfig.BucketsPerShard > 0): documents hash into
+//   - Bucketed (bucketsPerShard > 0): documents hash into
 //     buckets and an indirection table maps each bucket to its current
 //     (shard, region position). The table is the lever hotspot-aware
 //     rebalancing pulls: a periodic tick migrates the hottest shard's
@@ -75,7 +75,7 @@ func PackEntry(holder, slot int) Entry {
 	if s > maxSlotStamp {
 		s = maxSlotStamp
 	}
-	return Entry(s<<32 | uint64(holder)+1)
+	return Entry(s<<32 | uint64(holder) + 1)
 }
 
 // Holder returns the holder node ID.
@@ -84,30 +84,8 @@ func (e Entry) Holder() int { return int(uint32(e)) - 1 }
 // Slot returns the holder-local slab slot index.
 func (e Entry) Slot() int { return int(e >> 32) }
 
-// DirConfig selects the directory's addressing mode.
-type DirConfig struct {
-	// BucketsPerShard > 0 enables bucketed addressing with this many
-	// initial buckets homed on each shard; 0 keeps the direct mode.
-	BucketsPerShard int
-	// SlackBuckets is the number of spare bucket positions per shard
-	// region, the headroom migrations and splits move into (default:
-	// BucketsPerShard). Freed positions are quarantined, so this also
-	// bounds the total inbound migrations+splits per shard.
-	SlackBuckets int
-	// MaxReplicas caps how many extra hosts one bucket can split across
-	// (default 8).
-	MaxReplicas int
-}
-
-func (c DirConfig) withDefaults() DirConfig {
-	if c.BucketsPerShard > 0 && c.SlackBuckets <= 0 {
-		c.SlackBuckets = c.BucketsPerShard
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 8
-	}
-	return c
-}
+// maxReplicas caps how many extra hosts one bucket can split across.
+const maxReplicas = 8
 
 // Directory is a sharded document→placement map in registered memory.
 type Directory struct {
@@ -120,13 +98,12 @@ type Directory struct {
 	loadOps []int64
 
 	// Bucketed-mode state; nil/zero in direct mode.
-	cfg         DirConfig
 	buckets     int
 	bucketWords int
 	assign      []int32   // bucket → primary shard host
 	pos         []int32   // bucket → region position on that host
 	freePos     [][]int32 // per shard: spare positions (stack)
-	repHost     []int32   // bucket*MaxReplicas + i → replica host
+	repHost     []int32   // bucket*maxReplicas + i → replica host
 	repPos      []int32   // parallel replica positions
 	repCount    []int32   // bucket → live replica count
 	winShard    []int64   // per-shard load since the last tick
@@ -138,31 +115,29 @@ type Directory struct {
 	tickSkips   int64 // control-plane ops degraded by unreachable hosts
 }
 
-// NewDirectory registers one direct-mode directory shard on each home
-// node, sized for the given working set. Shard memory is registered at
-// setup (before the clock matters).
-func NewDirectory(nw *verbs.Network, homes []*cluster.Node, docs int) *Directory {
-	return NewDirectoryWith(nw, homes, docs, DirConfig{})
-}
-
-// NewDirectoryWith is NewDirectory with an explicit addressing mode.
-func NewDirectoryWith(nw *verbs.Network, homes []*cluster.Node, docs int, cfg DirConfig) *Directory {
+// NewDirectory registers one directory shard on each home node, sized
+// for the given working set. bucketsPerShard > 0 selects bucketed
+// addressing with that many initial buckets homed on each shard, plus as
+// many spare positions per shard region for migrations and splits to
+// move into (freed positions are quarantined, so this also bounds the
+// inbound migrations+splits per shard); 0 keeps the direct mode. Shard
+// memory is registered at setup (before the clock matters).
+func NewDirectory(nw *verbs.Network, homes []*cluster.Node, docs, bucketsPerShard int) *Directory {
 	if len(homes) == 0 || docs <= 0 {
 		panic("coopcache: directory needs homes and docs")
 	}
-	cfg = cfg.withDefaults()
 	d := &Directory{
 		shards:  make([]verbs.RemoteAddr, len(homes)),
 		bufs:    make([][]byte, len(homes)),
 		docs:    docs,
-		cfg:     cfg,
 		loadOps: make([]int64, len(homes)),
 	}
 	words := (docs + len(homes) - 1) / len(homes)
-	if cfg.BucketsPerShard > 0 {
-		d.buckets = len(homes) * cfg.BucketsPerShard
+	if bucketsPerShard > 0 {
+		slack := bucketsPerShard
+		d.buckets = len(homes) * bucketsPerShard
 		d.bucketWords = (docs + d.buckets - 1) / d.buckets
-		words = (cfg.BucketsPerShard + cfg.SlackBuckets) * d.bucketWords
+		words = (bucketsPerShard + slack) * d.bucketWords
 		d.assign = make([]int32, d.buckets)
 		d.pos = make([]int32, d.buckets)
 		for b := range d.assign {
@@ -171,14 +146,14 @@ func NewDirectoryWith(nw *verbs.Network, homes []*cluster.Node, docs int, cfg Di
 		}
 		d.freePos = make([][]int32, len(homes))
 		for s := range d.freePos {
-			fp := make([]int32, cfg.SlackBuckets)
+			fp := make([]int32, slack)
 			for i := range fp {
-				fp[i] = int32(cfg.BucketsPerShard + cfg.SlackBuckets - 1 - i) // pop lowest first
+				fp[i] = int32(bucketsPerShard + slack - 1 - i) // pop lowest first
 			}
 			d.freePos[s] = fp
 		}
-		d.repHost = make([]int32, d.buckets*cfg.MaxReplicas)
-		d.repPos = make([]int32, d.buckets*cfg.MaxReplicas)
+		d.repHost = make([]int32, d.buckets*maxReplicas)
+		d.repPos = make([]int32, d.buckets*maxReplicas)
 		d.repCount = make([]int32, d.buckets)
 		d.winShard = make([]int64, len(homes))
 		d.winBucket = make([]int64, d.buckets)
@@ -191,12 +166,6 @@ func NewDirectoryWith(nw *verbs.Network, homes []*cluster.Node, docs int, cfg Di
 	}
 	return d
 }
-
-// Shards returns the shard count.
-func (d *Directory) Shards() int { return len(d.shards) }
-
-// Bucketed reports whether the rebalancing addressing mode is active.
-func (d *Directory) Bucketed() bool { return d.buckets > 0 }
 
 // HomeShard returns the shard index currently serving doc's word (the
 // node index within the homes slice the constructor was given).
@@ -228,7 +197,7 @@ func (d *Directory) locateRead(doc, requester int) (host, off int) {
 	w := doc / d.buckets
 	if n := int(d.repCount[b]); n > 0 {
 		if idx := requester % (n + 1); idx > 0 {
-			ri := b*d.cfg.MaxReplicas + idx - 1
+			ri := b*maxReplicas + idx - 1
 			return int(d.repHost[ri]), (int(d.repPos[ri])*d.bucketWords + w) * 8
 		}
 	}
@@ -244,12 +213,11 @@ func (d *Directory) note(host, doc int) {
 	}
 }
 
-// netDegradable reports the op-failure class rebalancing and replica
-// fan-out tolerate: the far side is gone (crashed/partitioned peer) or
-// our own device is down. Anything else is a programming error.
-func netDegradable(err error) bool {
-	var oe *verbs.OpError
-	return errors.As(err, &oe) && (oe.Reason == "peer unreachable" || oe.Reason == "local device down")
+// degradable reports the op-failure class rebalancing, replica fan-out
+// and spill demotion tolerate: the far side is gone (crashed/partitioned
+// peer) or our own device is down. Anything else is a programming error.
+func degradable(err error) bool {
+	return errors.Is(err, verbs.ErrUnreachable) || errors.Is(err, verbs.ErrLocalDown)
 }
 
 // Lookup resolves doc's placement with a one-sided read issued from dev.
@@ -296,7 +264,7 @@ func (d *Directory) Publish(p *sim.Proc, dev *verbs.Device, doc int, e Entry) (w
 	if d.epoch != ep {
 		if nh, noff := d.locate(doc); nh != h || noff != off {
 			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0); cerr != nil && !netDegradable(cerr) {
+			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(e), 0); cerr != nil && !degradable(cerr) {
 				return false, cerr
 			}
 			return false, nil
@@ -372,7 +340,7 @@ func (d *Directory) Redirect(p *sim.Proc, dev *verbs.Device, doc int, old, new E
 			// Moved after our CAS: the new word sits at a quarantined
 			// position no lookup will visit. Undo and report a loss.
 			d.note(h, doc)
-			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(new), 0); cerr != nil && !netDegradable(cerr) {
+			if _, cerr := dev.CompareSwap(p, d.shards[h], off, uint64(new), 0); cerr != nil && !degradable(cerr) {
 				return false, 0, cerr
 			}
 			return false, Entry(o), nil
@@ -401,11 +369,11 @@ func (d *Directory) mutateReplicas(p *sim.Proc, dev *verbs.Device, doc int, from
 		cmp, swp = 0, from
 	}
 	for i := 0; i < n; i++ {
-		ri := b*d.cfg.MaxReplicas + i
+		ri := b*maxReplicas + i
 		h := int(d.repHost[ri])
 		off := (int(d.repPos[ri])*d.bucketWords + w) * 8
 		d.note(h, doc)
-		if _, err := dev.CompareSwap(p, d.shards[h], off, cmp, swp); err != nil && !netDegradable(err) {
+		if _, err := dev.CompareSwap(p, d.shards[h], off, cmp, swp); err != nil && !degradable(err) {
 			return err
 		}
 	}
@@ -459,7 +427,7 @@ func (d *Directory) RebalanceTick(p *sim.Proc, dev *verbs.Device) error {
 	// Split when even a fair share of the hot bucket would keep its
 	// hosts above the mean — a bucket migration could only shuffle
 	// around; otherwise migrate the hottest unsplit bucket away.
-	if hotLoad/int64(d.repCount[hot]+1) > mean && int(d.repCount[hot]) < d.cfg.MaxReplicas {
+	if hotLoad/int64(d.repCount[hot]+1) > mean && int(d.repCount[hot]) < maxReplicas {
 		if dst := d.pickTarget(src, hot); dst >= 0 {
 			return d.split(p, dev, hot, dst)
 		}
@@ -496,7 +464,7 @@ func (d *Directory) hostsBucket(b, s int) bool {
 		return true
 	}
 	for i := 0; i < int(d.repCount[b]); i++ {
-		if int(d.repHost[b*d.cfg.MaxReplicas+i]) == s {
+		if int(d.repHost[b*maxReplicas+i]) == s {
 			return true
 		}
 	}
@@ -549,7 +517,7 @@ func (d *Directory) migrate(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 // them (a not-yet-seeded replica word just reads as a miss).
 func (d *Directory) split(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 	np := d.popPos(dst)
-	ri := b*d.cfg.MaxReplicas + int(d.repCount[b])
+	ri := b*maxReplicas + int(d.repCount[b])
 	d.repHost[ri], d.repPos[ri] = int32(dst), np
 	d.repCount[b]++
 	d.epoch++
@@ -573,7 +541,7 @@ func (d *Directory) split(p *sim.Proc, dev *verbs.Device, b, dst int) error {
 // degrade absorbs unreachable-host failures on the control plane — the
 // tick just gives up this round — and surfaces everything else.
 func (d *Directory) degrade(err error) error {
-	if netDegradable(err) {
+	if degradable(err) {
 		d.tickSkips++
 		return nil
 	}
@@ -632,7 +600,7 @@ func (d *Directory) DebugPlacements(fn func(doc int, e Entry, replica bool)) {
 		b := doc % d.buckets
 		wi := doc / d.buckets
 		for i := 0; i < int(d.repCount[b]); i++ {
-			ri := b*d.cfg.MaxReplicas + i
+			ri := b*maxReplicas + i
 			roff := (int(d.repPos[ri])*d.bucketWords + wi) * 8
 			if v := binary.LittleEndian.Uint64(d.bufs[int(d.repHost[ri])][roff:]); v != 0 {
 				fn(doc, Entry(v), true)

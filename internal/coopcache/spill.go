@@ -1,14 +1,14 @@
 package coopcache
 
-// SpillRegions manages the reserved victim regions of a cooperative
+// spillRegions manages the reserved victim regions of a cooperative
 // cache tier — the paper's filecache idea (a cluster-wide victim cache
-// over aggregate memory) applied to the dc-scale slab tier: when a
+// over aggregate memory) applied to the Tier's slabs: when a
 // node's LRU evicts a document, the evictor demotes it into a rack
 // neighbor's spill region instead of dropping it, and a later miss
 // becomes a one-hop remote cache read.
 //
 // Each node's region is a contiguous run of slab slots past its main
-// LRU slots. SpillRegions tracks, per node, which region slots are
+// LRU slots. spillRegions tracks, per node, which region slots are
 // free and — because spilled documents sit outside any LRU — the FIFO
 // order of live claims, so a full region reclaims its oldest resident
 // first. The FIFO is a generation-stamped ring: Claim and Release bump
@@ -16,7 +16,7 @@ package coopcache
 // is a tombstone skipped on pop. The ring compacts in place when full;
 // nothing on the claim/release/reclaim path allocates.
 //
-// SpillRegions is bookkeeping only (hint state the spill workers
+// spillRegions is bookkeeping only (hint state the spill workers
 // consult at decision instants); the demotion's wire cost — the
 // one-sided Write of the victim bytes and the directory redirect CAS —
 // is charged by the caller.
@@ -31,19 +31,19 @@ type spillRegion struct {
 	live int      // claims outstanding
 }
 
-// SpillRegions is the per-node spill-slot allocator of one cache tier.
-type SpillRegions struct {
+// spillRegions is the per-node spill-slot allocator of one cache tier.
+type spillRegions struct {
 	regs []spillRegion
 }
 
-// NewSpillRegions builds the allocator: node i's region covers absolute
+// newSpillRegions builds the allocator: node i's region covers absolute
 // slab slots bases[i] .. bases[i]+counts[i]-1. A zero count leaves the
 // node without a region (it can still spill to neighbors).
-func NewSpillRegions(bases, counts []int32) *SpillRegions {
+func newSpillRegions(bases, counts []int32) *spillRegions {
 	if len(bases) != len(counts) {
 		panic("coopcache: spill bases/counts length mismatch")
 	}
-	sr := &SpillRegions{regs: make([]spillRegion, len(bases))}
+	sr := &spillRegions{regs: make([]spillRegion, len(bases))}
 	for i := range bases {
 		c := int(counts[i])
 		if c <= 0 {
@@ -66,19 +66,19 @@ func NewSpillRegions(bases, counts []int32) *SpillRegions {
 }
 
 // Slots returns the size of node n's region.
-func (sr *SpillRegions) Slots(n int) int { return len(sr.regs[n].gen) }
+func (sr *spillRegions) Slots(n int) int { return len(sr.regs[n].gen) }
 
 // Free returns node n's free spill slots — the pressure hint target
 // selection ranks neighbors by.
-func (sr *SpillRegions) Free(n int) int { return len(sr.regs[n].free) }
+func (sr *spillRegions) Free(n int) int { return len(sr.regs[n].free) }
 
 // Live returns node n's outstanding claims (reclaimable residents).
-func (sr *SpillRegions) Live(n int) int { return sr.regs[n].live }
+func (sr *spillRegions) Live(n int) int { return sr.regs[n].live }
 
 // Claim takes a free spill slot on node n, returning its absolute slab
 // slot index. ok is false when the region is full (or absent) — the
 // caller reclaims or picks another target.
-func (sr *SpillRegions) Claim(n int) (slot int32, ok bool) {
+func (sr *spillRegions) Claim(n int) (slot int32, ok bool) {
 	r := &sr.regs[n]
 	if len(r.free) == 0 {
 		return 0, false
@@ -104,7 +104,7 @@ func (r *spillRegion) claim(local int32) int32 {
 // re-claims its slot for the caller, returning the absolute slab slot.
 // The caller owns dropping the old resident's placement (metadata and
 // directory word). ok is false when nothing is resident.
-func (sr *SpillRegions) Reclaim(n int) (slot int32, ok bool) {
+func (sr *spillRegions) Reclaim(n int) (slot int32, ok bool) {
 	r := &sr.regs[n]
 	for r.n > 0 {
 		rec := r.ring[r.head]
@@ -127,7 +127,7 @@ func (sr *SpillRegions) Reclaim(n int) (slot int32, ok bool) {
 // claim (the cache tier validates residency against its slot metadata
 // before serving the hit that touches); a slot outside the region is
 // ignored.
-func (sr *SpillRegions) Touch(n int, slot int32) {
+func (sr *spillRegions) Touch(n int, slot int32) {
 	r := &sr.regs[n]
 	if len(r.gen) == 0 {
 		return
@@ -144,7 +144,7 @@ func (sr *SpillRegions) Touch(n int, slot int32) {
 // Release undoes a claim (a failed demotion, or a spill resident
 // dropped by invalidation), returning the slot to the free stack. slot
 // is the absolute slab index Claim/Reclaim returned.
-func (sr *SpillRegions) Release(n int, slot int32) {
+func (sr *spillRegions) Release(n int, slot int32) {
 	r := &sr.regs[n]
 	local := slot - r.base
 	r.gen[local]++ // tombstone the FIFO record

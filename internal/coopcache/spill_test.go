@@ -4,8 +4,8 @@ import "testing"
 
 // spillRegions4 builds two regions: node 0 with 4 slots at base 100,
 // node 1 without a region.
-func spillRegions4() *SpillRegions {
-	return NewSpillRegions([]int32{100, 0}, []int32{4, 0})
+func spillRegions4() *spillRegions {
+	return newSpillRegions([]int32{100, 0}, []int32{4, 0})
 }
 
 func TestSpillClaimReleaseAccounting(t *testing.T) {
@@ -112,7 +112,7 @@ func TestSpillChurnAllocationFree(t *testing.T) {
 }
 
 func TestSpillTouchResetsReclaimOrder(t *testing.T) {
-	sr := NewSpillRegions([]int32{10}, []int32{3})
+	sr := newSpillRegions([]int32{10}, []int32{3})
 	a, _ := sr.Claim(0)
 	b, _ := sr.Claim(0)
 	c, _ := sr.Claim(0)

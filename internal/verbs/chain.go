@@ -138,7 +138,7 @@ func (o *syncOp) targetLost(op string) bool {
 	if f == nil || f.Reachable(o.d.Node.ID, o.mr.dev.Node.ID) {
 		return false
 	}
-	o.err = &OpError{Op: op, Target: o.mr.Addr(), Reason: "peer unreachable"}
+	o.err = &OpError{Op: op, Target: o.mr.Addr(), Err: ErrUnreachable}
 	o.d.nw.Env.WakeAfter(o.p, o.half2)
 	return true
 }
@@ -239,7 +239,7 @@ func (w *workReq) startStep() {
 			return
 		}
 		if w.off < 0 || w.off+len(w.dst) > len(mr.buf) {
-			w.fail(&OpError{Op: "read", Target: w.r, Reason: "out of bounds"})
+			w.fail(&OpError{Op: "read", Target: w.r, Err: ErrOutOfBounds})
 			return
 		}
 		if err := w.d.pathError("read", w.r); err != nil {
@@ -262,7 +262,7 @@ func (w *workReq) startStep() {
 			return
 		}
 		if w.off < 0 || w.off+len(w.src) > len(mr.buf) {
-			w.fail(&OpError{Op: "write", Target: w.r, Reason: "out of bounds"})
+			w.fail(&OpError{Op: "write", Target: w.r, Err: ErrOutOfBounds})
 			return
 		}
 		if err := w.d.pathError("write", w.r); err != nil {
@@ -284,7 +284,7 @@ func (w *workReq) startStep() {
 			return
 		}
 		if w.off < 0 || w.off+8 > len(mr.buf) || w.off%8 != 0 {
-			w.fail(&OpError{Op: w.opName, Target: w.r, Reason: "bad atomic offset"})
+			w.fail(&OpError{Op: w.opName, Target: w.r, Err: ErrBadAtomicOffset})
 			return
 		}
 		if err := w.d.pathError(w.opName, w.r); err != nil {
@@ -326,7 +326,7 @@ func (w *workReq) targetLost() bool {
 	if f == nil || f.Reachable(w.d.Node.ID, w.r.Node) {
 		return false
 	}
-	w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
+	w.err = &OpError{Op: w.opName, Target: w.r, Err: ErrUnreachable}
 	w.d.nw.Env.After(w.half2, w.finishFn)
 	return true
 }
@@ -379,7 +379,7 @@ func (w *workReq) finishStep() {
 	// memory.
 	if w.err == nil && w.op == wrWrite {
 		if f := d.nw.flt; f != nil && !f.Reachable(d.Node.ID, w.r.Node) {
-			w.err = &OpError{Op: w.opName, Target: w.r, Reason: "peer unreachable"}
+			w.err = &OpError{Op: w.opName, Target: w.r, Err: ErrUnreachable}
 		}
 	}
 	if w.err == nil {

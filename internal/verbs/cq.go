@@ -136,7 +136,7 @@ func (d *Device) PostList(cq *CQ, wrs []WR) {
 			op = wrFAA
 		default:
 			b.comps[i] = Completion{ID: wr.ID, Op: wr.Op,
-				Err: &OpError{Op: wr.Op, Target: wr.Target, Reason: "unknown op"}}
+				Err: &OpError{Op: wr.Op, Target: wr.Target, Err: ErrUnknownOp}}
 			b.done[i] = true
 			continue
 		}

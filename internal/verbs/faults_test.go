@@ -25,17 +25,8 @@ func faultNet(t testing.TB, n int, plan *faults.Plan) (*sim.Env, *Network, []*De
 	return env, nw, devs, inj
 }
 
-func opReason(t *testing.T, err error) string {
-	t.Helper()
-	var oe *OpError
-	if !errors.As(err, &oe) {
-		t.Fatalf("error %v is not an *OpError", err)
-	}
-	return oe.Reason
-}
-
 // TestOneSidedOpsFailOnCrashedPeer pins the entry-check semantics: every
-// one-sided op against a crashed node fails with "peer unreachable"
+// one-sided op against a crashed node fails with ErrUnreachable
 // instead of hanging, and succeeds again after the node restarts (with
 // cold, zeroed memory).
 func TestOneSidedOpsFailOnCrashedPeer(t *testing.T) {
@@ -55,8 +46,8 @@ func TestOneSidedOpsFailOnCrashedPeer(t *testing.T) {
 		dst := make([]byte, 8)
 		if err := devs[0].Read(p, dst, mr.Addr(), 0); err == nil {
 			t.Error("read on crashed peer succeeded")
-		} else if r := opReason(t, err); r != "peer unreachable" {
-			t.Errorf("read reason = %q", r)
+		} else if !errors.Is(err, ErrUnreachable) {
+			t.Errorf("read error = %v, want ErrUnreachable", err)
 		}
 		if err := devs[0].Write(p, mr.Addr(), 0, []byte{1}); err == nil {
 			t.Error("write on crashed peer succeeded")
@@ -77,6 +68,53 @@ func TestOneSidedOpsFailOnCrashedPeer(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpErrorFaultClasses checks each fault path wraps its class
+// sentinel — callers classify with errors.Is, never by message — and
+// that the message text is unchanged from the string-reason errors.
+func TestOpErrorFaultClasses(t *testing.T) {
+	env, _, devs, _ := faultNet(t, 3, &faults.Plan{Seed: 1, Events: []faults.Event{
+		{At: 10 * time.Microsecond, Kind: faults.Crash, Node: 1},
+	}})
+	mr0 := devs[0].RegisterAtSetup(make([]byte, 64))
+	mr1 := devs[1].RegisterAtSetup(make([]byte, 64))
+	qa, _ := ConnectQP(devs[0], devs[1], 8)
+	var crashed, localDown, flushed error
+	env.Go("client", func(p *sim.Proc) {
+		p.SleepUntil(sim.Time(20 * time.Microsecond))
+		crashed = devs[0].Read(p, make([]byte, 8), mr1.Addr(), 0)
+		localDown = devs[1].Read(p, make([]byte, 8), mr0.Addr(), 0)
+		flushed = qa.Send(p, []byte("x"))
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	classes := []error{ErrUnreachable, ErrLocalDown, ErrFlushed}
+	cases := []struct {
+		name string
+		err  error
+		want error
+		text string
+	}{
+		{"crashed peer", crashed, ErrUnreachable, "verbs: read on node 1 key 1: peer unreachable"},
+		{"own device down", localDown, ErrLocalDown, "verbs: read on node 0 key 1: local device down"},
+		{"flushed qp", flushed, ErrFlushed, "verbs: qp on node 1 key 0: flushed: peer down"},
+	}
+	for _, c := range cases {
+		var oe *OpError
+		if !errors.As(c.err, &oe) {
+			t.Fatalf("%s: error %v is not an *OpError", c.name, c.err)
+		}
+		for _, class := range classes {
+			if got := errors.Is(c.err, class); got != (class == c.want) {
+				t.Errorf("%s: errors.Is(%v, %v) = %v", c.name, c.err, class, got)
+			}
+		}
+		if got := c.err.Error(); got != c.text {
+			t.Errorf("%s: text = %q, want %q", c.name, got, c.text)
+		}
 	}
 }
 

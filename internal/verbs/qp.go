@@ -55,11 +55,12 @@ func ConnectQP(a, b *Device, depth int) (*QP, *QP) {
 // enterError moves both endpoints of the connection to the error state
 // (like a real RC QP after a retry-exceeded or peer death): pending and
 // future operations fail, and both receive queues are flushed so parked
-// receivers wake with a nil message.
-func (q *QP) enterError(reason string) {
-	q.err = &OpError{Op: "qp", Target: RemoteAddr{Node: q.peer.Node.ID}, Reason: reason}
+// receivers wake with a nil message. cause is the fault class both
+// endpoints' OpErrors wrap.
+func (q *QP) enterError(cause error) {
+	q.err = &OpError{Op: "qp", Target: RemoteAddr{Node: q.peer.Node.ID}, Err: cause}
 	if q.remote.err == nil {
-		q.remote.err = &OpError{Op: "qp", Target: RemoteAddr{Node: q.dev.Node.ID}, Reason: reason}
+		q.remote.err = &OpError{Op: "qp", Target: RemoteAddr{Node: q.dev.Node.ID}, Err: cause}
 	}
 	if !q.rq.Closed() {
 		q.rq.Close()
@@ -89,7 +90,7 @@ func (q *QP) Send(p *sim.Proc, data []byte) error {
 	a, b := q.dev.Node.ID, q.peer.Node.ID
 	f := q.dev.nw.flt
 	if f != nil && !f.Reachable(a, b) {
-		q.enterError("peer unreachable")
+		q.enterError(ErrUnreachable)
 		return q.err
 	}
 	pp := q.dev.Params()

@@ -16,10 +16,10 @@ import "ngdc/internal/sim"
 func (d *Device) SendTCP(p *sim.Proc, dstNode int, service string, data []byte) error {
 	dst, ok := d.nw.devs[dstNode]
 	if !ok {
-		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: dstNode}, Reason: "no such node"}
+		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: dstNode}, Err: ErrNoSuchNode}
 	}
 	if f := d.nw.flt; f != nil && f.Down(d.Node.ID) {
-		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: dstNode}, Reason: "local device down"}
+		return &OpError{Op: "tcp-send", Target: RemoteAddr{Node: dstNode}, Err: ErrLocalDown}
 	}
 	pp := d.nw.Fab.P
 	// Sender-side protocol processing on this node's CPU.

@@ -278,7 +278,7 @@ func (d *Device) QPTo(peer, depth int) (*QP, error) {
 	}
 	t := d.nw.devs[peer]
 	if t == nil {
-		return nil, &OpError{Op: "connect", Target: RemoteAddr{Node: peer}, Reason: "no such node"}
+		return nil, &OpError{Op: "connect", Target: RemoteAddr{Node: peer}, Err: ErrNoSuchNode}
 	}
 	qa, _ := ConnectQP(d, t, depth)
 	return qa, nil

@@ -14,6 +14,7 @@ package verbs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,16 +43,32 @@ type Message struct {
 	pool *bufPool
 }
 
-// OpError reports a failed verbs operation.
+// Fault classes an OpError wraps. Callers classify a failure with
+// errors.Is against these sentinels, never by matching message text.
+var (
+	ErrUnreachable     = errors.New("peer unreachable")   // target crashed or partitioned away
+	ErrLocalDown       = errors.New("local device down")  // the issuer's own node is down
+	ErrFlushed         = errors.New("flushed: peer down") // QP flushed by an endpoint crash
+	ErrNoSuchNode      = errors.New("no such node")
+	ErrInvalidRkey     = errors.New("invalid rkey")
+	ErrOutOfBounds     = errors.New("out of bounds")
+	ErrBadAtomicOffset = errors.New("bad atomic offset")
+	ErrUnknownOp       = errors.New("unknown op") // a posted WR names no known op
+)
+
+// OpError reports a failed verbs operation. Err is one of the fault
+// class sentinels above.
 type OpError struct {
 	Op     string
 	Target RemoteAddr
-	Reason string
+	Err    error
 }
 
 func (e *OpError) Error() string {
-	return fmt.Sprintf("verbs: %s on node %d key %d: %s", e.Op, e.Target.Node, e.Target.Key, e.Reason)
+	return fmt.Sprintf("verbs: %s on node %d key %d: %v", e.Op, e.Target.Node, e.Target.Key, e.Err)
 }
+
+func (e *OpError) Unwrap() error { return e.Err }
 
 // Network is the verbs-capable interconnect: a fabric plus the device
 // registry that lets a requester's (simulated) HCA reach a target's
@@ -120,7 +137,7 @@ func (nw *Network) nodeCrashed(node int) {
 	}
 	for _, q := range nw.qps {
 		if q.err == nil && (q.dev.Node.ID == node || q.peer.Node.ID == node) {
-			q.enterError("flushed: peer down")
+			q.enterError(ErrFlushed)
 		}
 	}
 	// Connection state: every survivor tears down its transport to the
@@ -275,10 +292,10 @@ func (d *Device) pathError(op string, r RemoteAddr) error {
 		return nil
 	}
 	if f.Down(d.Node.ID) {
-		return &OpError{Op: op, Target: r, Reason: "local device down"}
+		return &OpError{Op: op, Target: r, Err: ErrLocalDown}
 	}
 	if !f.Reachable(d.Node.ID, r.Node) {
-		return &OpError{Op: op, Target: r, Reason: "peer unreachable"}
+		return &OpError{Op: op, Target: r, Err: ErrUnreachable}
 	}
 	return nil
 }
@@ -287,11 +304,11 @@ func (d *Device) pathError(op string, r RemoteAddr) error {
 func (nw *Network) lookup(op string, r RemoteAddr) (*MR, *OpError) {
 	d, ok := nw.devs[r.Node]
 	if !ok {
-		return nil, &OpError{Op: op, Target: r, Reason: "no such node"}
+		return nil, &OpError{Op: op, Target: r, Err: ErrNoSuchNode}
 	}
 	mr, ok := d.mrs[r.Key]
 	if !ok {
-		return nil, &OpError{Op: op, Target: r, Reason: "invalid rkey"}
+		return nil, &OpError{Op: op, Target: r, Err: ErrInvalidRkey}
 	}
 	return mr, nil
 }
@@ -307,7 +324,7 @@ func (d *Device) Read(p *sim.Proc, dst []byte, r RemoteAddr, off int) error {
 		return err
 	}
 	if off < 0 || off+len(dst) > len(mr.buf) {
-		return &OpError{Op: "read", Target: r, Reason: "out of bounds"}
+		return &OpError{Op: "read", Target: r, Err: ErrOutOfBounds}
 	}
 	if err := d.pathError("read", r); err != nil {
 		return err
@@ -360,7 +377,7 @@ func (d *Device) Write(p *sim.Proc, r RemoteAddr, off int, src []byte) error {
 		return err
 	}
 	if off < 0 || off+len(src) > len(mr.buf) {
-		return &OpError{Op: "write", Target: r, Reason: "out of bounds"}
+		return &OpError{Op: "write", Target: r, Err: ErrOutOfBounds}
 	}
 	if err := d.pathError("write", r); err != nil {
 		return err
@@ -423,7 +440,7 @@ func (d *Device) atomic(p *sim.Proc, name string, op wrOp, r RemoteAddr, off int
 		return 0, err
 	}
 	if off < 0 || off+8 > len(mr.buf) || off%8 != 0 {
-		return 0, &OpError{Op: name, Target: r, Reason: "bad atomic offset"}
+		return 0, &OpError{Op: name, Target: r, Err: ErrBadAtomicOffset}
 	}
 	if err := d.pathError(name, r); err != nil {
 		return 0, err
@@ -505,11 +522,11 @@ func (d *Device) Send(p *sim.Proc, dstNode int, service string, data []byte) err
 func (d *Device) SendBuf(p *sim.Proc, dstNode int, service string, buf []byte) error {
 	dst, ok := d.nw.devs[dstNode]
 	if !ok {
-		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Reason: "no such node"}
+		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Err: ErrNoSuchNode}
 	}
 	if f := d.nw.flt; f != nil && f.Down(d.Node.ID) {
 		d.pool.putBuf(buf)
-		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Reason: "local device down"}
+		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Err: ErrLocalDown}
 	}
 	d.Sends++
 	pp := d.nw.Fab.P
@@ -576,12 +593,12 @@ func (d *Device) deliverFaulted(f *faults.Injector, q *sim.Chan[Message], servic
 func (d *Device) PostSendAt(dstNode int, service string, data []byte) error {
 	dst, ok := d.nw.devs[dstNode]
 	if !ok {
-		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Reason: "no such node"}
+		return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Err: ErrNoSuchNode}
 	}
 	var xtra time.Duration
 	if f := d.nw.flt; f != nil {
 		if f.Down(d.Node.ID) {
-			return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Reason: "local device down"}
+			return &OpError{Op: "send", Target: RemoteAddr{Node: dstNode}, Err: ErrLocalDown}
 		}
 		// Fire-and-forget: an unreachable peer or a loss roll eats the
 		// message without an error, like SendBuf.
