@@ -2,12 +2,14 @@ package verbs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 
 	"ngdc/internal/cluster"
 	"ngdc/internal/fabric"
+	"ngdc/internal/faults"
 	"ngdc/internal/sim"
 	"ngdc/internal/trace"
 )
@@ -455,3 +457,192 @@ func BenchmarkVerbsPostedOps(b *testing.B) { benchPostedOps(b, false) }
 // BenchmarkVerbsPostedOpsGoroutine reproduces the pre-rewrite datapath:
 // one spawned process per work request walking the segmented timeline.
 func BenchmarkVerbsPostedOpsGoroutine(b *testing.B) { benchPostedOps(b, true) }
+
+// TestContendedWriteMatchesLegacyTimeline pins the blocking Write under
+// Tx contention against legacyWrite, the segmented oracle: writers on
+// one device issue at half-serialization offsets so each queues behind
+// the previous one, a write from another device completes at the same
+// instants, and observers wake at every serialization end and every
+// completion. Who ran at which instant, in order, must match the
+// legacy run exactly — same-instant ordering is what the event seq
+// decides.
+func TestContendedWriteMatchesLegacyTimeline(t *testing.T) {
+	const size = 8 << 10
+	const writers = 4
+	run := func(legacy bool) []string {
+		env, _, devs := testNet(t, 3)
+		mr := devs[1].RegisterAtSetup(make([]byte, (writers+1)*size))
+		pp := devs[0].Params()
+		ser := pp.IBTxTime(size)
+		var log []string
+		note := func(who string) { log = append(log, fmt.Sprintf("%v %s", env.Now(), who)) }
+		write := func(p *sim.Proc, d *Device, off int) {
+			src := bytes.Repeat([]byte{byte(off / size)}, size)
+			if legacy {
+				legacyWrite(p, d, mr, off, src)
+				return
+			}
+			if err := d.Write(p, mr.Addr(), off, src); err != nil {
+				t.Error(err)
+			}
+		}
+		for k := 0; k < writers; k++ {
+			env.Go(fmt.Sprintf("w%d", k), func(p *sim.Proc) {
+				p.Sleep(time.Duration(k) * ser / 2)
+				write(p, devs[0], k*size)
+				note(p.Name())
+			})
+		}
+		// Issued when w1 is granted, on an idle NIC: it ends serializing
+		// and completes at the same instants as w1.
+		env.Go("peer", func(p *sim.Proc) {
+			p.Sleep(ser)
+			write(p, devs[2], writers*size)
+			note(p.Name())
+		})
+		// obs0 wakes on every serialization end (multiples of ser), obs1
+		// on every completion ((k+1)·ser + IBWriteLatency); each wake is
+		// scheduled mid-run, so it interleaves with the writers' events.
+		for i, phase := range []time.Duration{0, pp.IBWriteLatency} {
+			env.Go(fmt.Sprintf("obs%d", i), func(p *sim.Proc) {
+				p.Sleep(phase)
+				for n := 0; n < 3*writers; n++ {
+					p.Sleep(ser / 2)
+					note(p.Name())
+				}
+			})
+		}
+		// obs2 schedules its completion-instant wake at the serialization
+		// end, the same instant a writer schedules its own.
+		if ser <= pp.IBWriteLatency {
+			t.Fatalf("serialization %v not longer than placement %v", ser, pp.IBWriteLatency)
+		}
+		env.Go("obs2", func(p *sim.Proc) {
+			p.Sleep(ser)
+			for n := 0; n <= writers; n++ {
+				note(p.Name())
+				p.Sleep(pp.IBWriteLatency)
+				note(p.Name())
+				p.Sleep(ser - pp.IBWriteLatency)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if q := devs[0].NIC().Tx().MaxQueued(); q < 2 {
+			t.Fatalf("Tx engine max queue = %d, want >= 2: writers did not contend", q)
+		}
+		for k := 0; k <= writers; k++ {
+			if got := mr.Bytes()[k*size]; got != byte(k) {
+				t.Fatalf("slot %d holds %d, want %d", k, got, k)
+			}
+		}
+		return log
+	}
+	got, want := run(false), run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("contended Write timeline diverged from the legacy one:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestSyncAndPostedOpsAgree issues each one-sided op once blocking and
+// once posted (Post* then Poll), healthy, over a delayed link, and
+// behind busy Tx engines. Each pair must finish the same time after
+// issue, with the same Old value, the same remote effect and the same
+// device counters.
+func TestSyncAndPostedOpsAgree(t *testing.T) {
+	const size = 4 << 10
+	type result struct {
+		took                   time.Duration
+		old, word              uint64
+		reads, writes, atomics int64
+	}
+	run := func(op, cond string, posted bool) result {
+		var (
+			env  *sim.Env
+			devs []*Device
+		)
+		if cond == "delay" {
+			env, _, devs, _ = faultNet(t, 3, &faults.Plan{Seed: 1, Events: []faults.Event{
+				{At: 0, Kind: faults.Delay, A: 0, B: 1, Extra: 3 * time.Microsecond},
+			}})
+		} else {
+			env, _, devs = testNet(t, 3)
+		}
+		mr := devs[1].RegisterAtSetup(make([]byte, 1<<16))
+		mr.PutUint64At(0, 7)
+		if cond == "busy" {
+			// Occupy the issuer's Tx engine (writes serialize there) and
+			// the target's (read responses serialize there).
+			sink := devs[2].RegisterAtSetup(make([]byte, 1<<16))
+			for _, d := range devs[:2] {
+				env.Go("busy", func(p *sim.Proc) {
+					if err := d.Write(p, sink.Addr(), 0, make([]byte, 1<<16)); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+		var res result
+		env.Go("issuer", func(p *sim.Proc) {
+			d := devs[0]
+			dst := make([]byte, size)
+			src := bytes.Repeat([]byte{0x5A}, size)
+			start := env.Now()
+			var err error
+			if posted {
+				cq := d.CreateCQ("cq", 4)
+				switch op {
+				case OpRead:
+					d.PostRead(cq, 1, dst, mr.Addr(), 0)
+				case OpWrite:
+					d.PostWrite(cq, 1, mr.Addr(), 0, src)
+				case OpCAS:
+					d.PostCompareSwap(cq, 1, mr.Addr(), 0, 7, 9)
+				case OpFAA:
+					d.PostFetchAdd(cq, 1, mr.Addr(), 0, 5)
+				}
+				c := cq.Poll(p)
+				res.old, err = c.Old, c.Err
+			} else {
+				switch op {
+				case OpRead:
+					err = d.Read(p, dst, mr.Addr(), 0)
+				case OpWrite:
+					err = d.Write(p, mr.Addr(), 0, src)
+				case OpCAS:
+					res.old, err = d.CompareSwap(p, mr.Addr(), 0, 7, 9)
+				case OpFAA:
+					res.old, err = d.FetchAdd(p, mr.Addr(), 0, 5)
+				}
+			}
+			if err != nil {
+				t.Errorf("%s %s posted=%v: %v", op, cond, posted, err)
+			}
+			res.took = time.Duration(env.Now() - start)
+			if op == OpRead {
+				res.word = binary.LittleEndian.Uint64(dst)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if op != OpRead {
+			res.word = mr.Uint64At(0)
+		}
+		res.reads, res.writes, res.atomics = devs[0].Reads, devs[0].Writes, devs[0].Atomics
+		return res
+	}
+	for _, op := range []string{OpRead, OpWrite, OpCAS, OpFAA} {
+		healthy := run(op, "healthy", false)
+		for _, cond := range []string{"healthy", "delay", "busy"} {
+			sync, posted := run(op, cond, false), run(op, cond, true)
+			if sync != posted {
+				t.Errorf("%s %s: sync %+v, posted %+v", op, cond, sync, posted)
+			}
+			if cond != "healthy" && (op == OpRead || op == OpWrite) && sync.took <= healthy.took {
+				t.Errorf("%s %s took %v, no longer than healthy %v: condition not applied", op, cond, sync.took, healthy.took)
+			}
+		}
+	}
+}
