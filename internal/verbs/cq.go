@@ -9,8 +9,10 @@ import (
 // Completion-queue support: the asynchronous half of the verbs interface.
 // Work requests are posted without blocking; each completes by delivering
 // a Completion into the chosen CQ, which a process drains with Poll. This
-// is how real verbs applications overlap one-sided operations — the
-// synchronous Device methods are the convenience wrappers.
+// is how real verbs applications overlap one-sided operations. The
+// blocking Device methods run the same work-request chain (chain.go) and
+// park the caller until its completion instant instead of posting a
+// Completion.
 
 // Completion reports one finished work request.
 type Completion struct {
@@ -74,21 +76,9 @@ type WR struct {
 	Delta         uint64
 }
 
-// post starts one work request as an event chain: no goroutine is
-// spawned; the chain's doorbell fires at the instant a posted work
-// process would previously have started.
-func (d *Device) post(cq *CQ, id uint64, opName string, op wrOp, r RemoteAddr, off int, dst, src []byte, cmp, swp, delta uint64) *workReq {
-	w := d.getWorkReq()
-	w.cq, w.b, w.id, w.op, w.opName = cq, nil, id, op, opName
-	w.r, w.off, w.dst, w.src = r, off, dst, src
-	w.cmp, w.swp, w.delta = cmp, swp, delta
-	w.err = nil
-	return w
-}
-
 // PostRead starts an RDMA read; the caller continues immediately.
 func (d *Device) PostRead(cq *CQ, id uint64, dst []byte, r RemoteAddr, off int) {
-	w := d.post(cq, id, OpRead, wrRead, r, off, dst, nil, 0, 0, 0)
+	w := d.getWorkReq(cq, id, OpRead, wrRead, r, off, dst, nil, 0, 0, 0)
 	d.nw.Env.After(0, w.startFn)
 }
 
@@ -96,19 +86,19 @@ func (d *Device) PostRead(cq *CQ, id uint64, dst []byte, r RemoteAddr, off int) 
 // source buffer is captured as-is: it must not be reused until the
 // completion arrives (the verbs contract).
 func (d *Device) PostWrite(cq *CQ, id uint64, r RemoteAddr, off int, src []byte) {
-	w := d.post(cq, id, OpWrite, wrWrite, r, off, nil, src, 0, 0, 0)
+	w := d.getWorkReq(cq, id, OpWrite, wrWrite, r, off, nil, src, 0, 0, 0)
 	d.nw.Env.After(0, w.startFn)
 }
 
 // PostCompareSwap starts an asynchronous compare-and-swap.
 func (d *Device) PostCompareSwap(cq *CQ, id uint64, r RemoteAddr, off int, compare, swap uint64) {
-	w := d.post(cq, id, OpCAS, wrCAS, r, off, nil, nil, compare, swap, 0)
+	w := d.getWorkReq(cq, id, OpCAS, wrCAS, r, off, nil, nil, compare, swap, 0)
 	d.nw.Env.After(0, w.startFn)
 }
 
 // PostFetchAdd starts an asynchronous fetch-and-add.
 func (d *Device) PostFetchAdd(cq *CQ, id uint64, r RemoteAddr, off int, delta uint64) {
-	w := d.post(cq, id, OpFAA, wrFAA, r, off, nil, nil, 0, 0, delta)
+	w := d.getWorkReq(cq, id, OpFAA, wrFAA, r, off, nil, nil, 0, 0, delta)
 	d.nw.Env.After(0, w.startFn)
 }
 
@@ -140,7 +130,7 @@ func (d *Device) PostList(cq *CQ, wrs []WR) {
 			b.done[i] = true
 			continue
 		}
-		w := d.post(cq, wr.ID, wr.Op, op, wr.Target, wr.Off, wr.Dst, wr.Src, wr.Compare, wr.Swap, wr.Delta)
+		w := d.getWorkReq(cq, wr.ID, wr.Op, op, wr.Target, wr.Off, wr.Dst, wr.Src, wr.Compare, wr.Swap, wr.Delta)
 		w.b, w.slot = b, i
 		b.wrs = append(b.wrs, w)
 	}

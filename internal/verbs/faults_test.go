@@ -359,3 +359,37 @@ func TestLossDropsSendsDeterministically(t *testing.T) {
 		t.Fatalf("replay mismatch: %v vs %v", g1, g2)
 	}
 }
+
+// TestIssuerCrashMidWriteIsLocalDown crashes the issuer while a 64 KiB
+// write is still serializing. At the placement instant the blocking and
+// the posted write must both report the issuer's own device down, not
+// an unreachable peer.
+func TestIssuerCrashMidWriteIsLocalDown(t *testing.T) {
+	const size = 64 << 10
+	if ser := fabric.DefaultParams().IBTxTime(size); ser <= 10*time.Microsecond {
+		t.Fatalf("serialization %v too short to crash mid-write", ser)
+	}
+	for _, posted := range []bool{false, true} {
+		env, _, devs, _ := faultNet(t, 2, &faults.Plan{Seed: 1, Events: []faults.Event{
+			{At: 10 * time.Microsecond, Kind: faults.Crash, Node: 0},
+		}})
+		mr := devs[1].RegisterAtSetup(make([]byte, size))
+		var err error
+		env.Go("writer", func(p *sim.Proc) {
+			src := make([]byte, size)
+			if !posted {
+				err = devs[0].Write(p, mr.Addr(), 0, src)
+				return
+			}
+			cq := devs[0].CreateCQ("cq", 1)
+			devs[0].PostWrite(cq, 1, mr.Addr(), 0, src)
+			err = cq.Poll(p).Err
+		})
+		if runErr := env.Run(); runErr != nil {
+			t.Fatal(runErr)
+		}
+		if !errors.Is(err, ErrLocalDown) {
+			t.Errorf("posted=%v: write error = %v, want ErrLocalDown", posted, err)
+		}
+	}
+}
