@@ -232,8 +232,8 @@ func TestPromoteThenEvictKeepsVictimFresh(t *testing.T) {
 	}
 	env.Go("p", func(p *sim.Proc) {
 		const a, b, cc, d, e, f = 0, 1, 2, 3, 4, 5
-		read(p, a) // local {a}
-		read(p, b) // local {a,b}
+		read(p, a)  // local {a}
+		read(p, b)  // local {a,b}
 		read(p, cc) // a demoted: remote {a}
 		if src := read(p, a); src != FromRemote {
 			t.Fatalf("promote read source = %v, want remote", src)
